@@ -4,23 +4,35 @@
 //! The engine is loom/shuttle-style *stateless* model checking: every
 //! schedule is executed from scratch. A virtual thread runs real fixture
 //! code; each shared access (through the shim cells of [`crate::shim`])
-//! **announces** itself to the controller — cell id plus read/write kind
-//! — and blocks. The controller waits until every virtual thread is
-//! *settled* (announced or finished), asks the active
-//! [`Decider`] to pick one, grants it, and the granted thread performs
-//! its value operation **while still holding the engine lock** before
-//! running on to its next announce. Performing the operation under the
-//! lock closes the race where the next granted thread could read a cell
-//! before the previous grantee's write landed; because the controller
-//! only ever chooses among fully settled threads, it also knows every
-//! enabled thread's pending access at each choice point, which is what
-//! the sleep-set pruning in [`crate::explore`] needs.
+//! **announces** itself — cell id plus read/write kind — and blocks
+//! until it is granted. No scheduler thread sits between two grants:
+//! the virtual thread that completes a choice point, by settling
+//! (announcing its next access, or finishing) after every other thread
+//! has settled, runs the active [`Decider`] itself under the engine
+//! lock. If the decider picks that same thread, it keeps running with
+//! no wakeup at all; otherwise it wakes only the chosen thread, through
+//! that thread's own condvar. The granted thread performs its value
+//! operation **while still holding the engine lock** before running on
+//! to its next announce. Performing the operation under the lock closes
+//! the race where the next granted thread could read a cell before the
+//! previous grantee's write landed; because a choice is only ever made
+//! among fully settled threads, the decider also knows every enabled
+//! thread's pending access at each choice point, which is what the
+//! sleep-set pruning in [`crate::explore`] needs. The caller of
+//! [`run_one`] starts the threads and waits once, until all of them
+//! have finished.
+//!
+//! The same choice abandons an execution when the step budget is spent,
+//! every enabled thread is spin-blocked (livelock), or the decider
+//! rejects the state (a replay mismatch): it sets `abort` and grants the
+//! first enabled thread, which unwinds via [`ABORT_MSG`]; its finish
+//! completes the next choice point, and so on until no thread is left.
 //!
 //! **Spin detection.** A retry loop (the seqlock reader, a writer
 //! waiting out an odd counter) re-reads the same cell until another
 //! thread changes it. Granting such a thread again before the cell
 //! changes is a pure stutter — it re-announces the identical read — so
-//! the controller tracks a per-cell write-version counter and treats a
+//! the engine tracks a per-cell write-version counter and treats a
 //! thread as *spin-blocked* (not schedulable) while its pending read
 //! repeats its previous **two** granted accesses with the cell's
 //! version unmoved since. Two, not one: a single repeat also arises
@@ -35,6 +47,7 @@
 //! implementations; a counting loop over identical reads would need a
 //! fairness bound instead.)
 
+use std::any::Any;
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::Sender;
@@ -44,8 +57,11 @@ use std::thread::JoinHandle;
 use crate::schedule::Schedule;
 
 /// Panic payload used to unwind virtual threads when an execution is
-/// abandoned (step budget, replay mismatch, livelock drain).
+/// abandoned (step budget, replay mismatch, livelock).
 pub(crate) const ABORT_MSG: &str = "wfc-sched: execution aborted";
+
+/// Virtual threads per execution: one base-36 schedule digit each.
+const MAX_THREADS: usize = 36;
 
 /// Sentinel thread id for controller-context code (fixture setup and the
 /// post-execution check), whose shared accesses run immediately without
@@ -99,14 +115,23 @@ pub(crate) struct ExecState {
     last2: Vec<Option<(Access, u64)>>,
     /// First panic message from a virtual thread, if any.
     panic: Option<String>,
-    /// When set, granted threads unwind immediately (execution drain).
+    /// When set, granted threads unwind immediately (execution abandoned).
     abort: bool,
     next_cell: u32,
+    /// Makes every choice; taken back out by [`run_one`] at the end.
+    decider: Option<Box<dyn Decider>>,
+    /// The per-execution step budget.
+    max_steps: u64,
+    /// The schedule so far, and why the execution was abandoned if it was.
+    result: RunResult,
 }
 
 pub(crate) struct ExecCtx {
     state: Mutex<ExecState>,
-    cv: Condvar,
+    /// One condvar per virtual thread: a grant wakes only its grantee.
+    wake: [Condvar; MAX_THREADS],
+    /// Signalled when the last virtual thread finishes.
+    done: Condvar,
 }
 
 /// Locks tolerantly: a virtual thread that panics between announce and
@@ -140,7 +165,7 @@ impl Drop for TlsGuard {
 }
 
 impl ExecCtx {
-    fn new() -> ExecCtx {
+    fn new(decider: Box<dyn Decider>, max_steps: u64) -> ExecCtx {
         ExecCtx {
             state: Mutex::new(ExecState {
                 pending: Vec::new(),
@@ -153,8 +178,12 @@ impl ExecCtx {
                 panic: None,
                 abort: false,
                 next_cell: 0,
+                decider: Some(decider),
+                max_steps,
+                result: RunResult::default(),
             }),
-            cv: Condvar::new(),
+            wake: [const { Condvar::new() }; MAX_THREADS],
+            done: Condvar::new(),
         }
     }
 
@@ -199,14 +228,15 @@ impl ExecCtx {
         let access = Access { cell, kind };
         let mut st = lock(&self.state);
         st.pending[me] = Some(access);
-        self.cv.notify_all();
+        if all_settled(&st) {
+            self.hand_off(&mut st, me);
+        }
         while st.granted != Some(me) {
-            st = self.cv.wait(st).unwrap_or_else(|e| e.into_inner());
+            st = self.wake[me].wait(st).unwrap_or_else(|e| e.into_inner());
         }
         st.granted = None;
         st.pending[me] = None;
         if st.abort {
-            self.cv.notify_all();
             drop(st);
             // resume_unwind skips the panic hook: an abort is engine
             // control flow, not a reportable thread panic.
@@ -220,9 +250,75 @@ impl ExecCtx {
         if wrote {
             st.versions[cell as usize] += 1;
         }
-        self.cv.notify_all();
         drop(st);
         r
+    }
+
+    /// Completes a choice point on behalf of `me`, the thread that just
+    /// settled it: grants the next thread, waking it unless it is `me`,
+    /// or signals [`run_one`] once every thread has finished.
+    fn hand_off(&self, st: &mut ExecState, me: usize) {
+        let enabled: Vec<usize> = (0..st.pending.len())
+            .filter(|&t| st.pending[t].is_some())
+            .collect();
+        let Some(&first) = enabled.first() else {
+            self.done.notify_one();
+            return;
+        };
+        let next = if st.abort { None } else { st.choose(&enabled) };
+        let chosen = next.unwrap_or_else(|| {
+            st.abort = true;
+            first
+        });
+        st.granted = Some(chosen);
+        if chosen != me {
+            self.wake[chosen].notify_one();
+        }
+    }
+}
+
+impl ExecState {
+    /// Asks the decider for the next grant and records it, or records
+    /// why the execution must be abandoned and returns `None`.
+    fn choose(&mut self, enabled: &[usize]) -> Option<usize> {
+        let choosable: Vec<usize> = enabled
+            .iter()
+            .copied()
+            .filter(|&t| !spin_blocked(self, t))
+            .collect();
+        if choosable.is_empty() {
+            // Every enabled thread is spinning on a cell nobody will
+            // write again: a genuine livelock in the fixture.
+            self.result.violation = Some(format!(
+                "livelock: all enabled threads {enabled:?} are spin-blocked"
+            ));
+            return None;
+        }
+        if self.result.steps >= self.max_steps {
+            self.result.aborted = true;
+            return None;
+        }
+        let schedule = &mut self.result.schedule;
+        let prev = schedule.choices().last().map(|&t| usize::from(t));
+        let decider = self
+            .decider
+            .as_mut()
+            .expect("decider lent to the execution");
+        let pick = decider.choose(schedule.len(), &choosable, enabled, &self.pending, prev);
+        let chosen = match pick {
+            Ok(t) => t,
+            Err(msg) => {
+                self.result.decider_error = Some(msg);
+                return None;
+            }
+        };
+        debug_assert!(enabled.contains(&chosen));
+        if prev.is_some_and(|p| p != chosen && choosable.contains(&p)) {
+            self.result.preemptions += 1;
+        }
+        schedule.push(chosen);
+        self.result.steps += 1;
+        Some(chosen)
     }
 }
 
@@ -245,7 +341,7 @@ impl std::fmt::Debug for Execution {
 }
 
 /// The outcome of running one schedule.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct RunResult {
     pub schedule: Schedule,
     pub steps: u64,
@@ -258,8 +354,10 @@ pub(crate) struct RunResult {
     pub decider_error: Option<String>,
 }
 
-/// Chooses the next thread at each settled choice point.
-pub(crate) trait Decider {
+/// Chooses the next thread at each settled choice point. A decider is an
+/// owned value: [`run_one`] moves it into the execution, where the
+/// thread completing each choice point calls it, and hands it back.
+pub(crate) trait Decider: Any + Send {
     /// Picks among `choosable` (enabled and not spin-blocked; never
     /// empty). `enabled` additionally lists spin-blocked threads;
     /// returning one of those is allowed (replay follows recorded
@@ -335,12 +433,9 @@ impl Drop for Pool {
     }
 }
 
-fn settled(st: &ExecState, t: usize) -> bool {
-    st.pending[t].is_some() || st.finished[t]
-}
-
+/// Every thread has announced its next access or finished.
 fn all_settled(st: &ExecState) -> bool {
-    (0..st.pending.len()).all(|t| settled(st, t))
+    (0..st.pending.len()).all(|t| st.pending[t].is_some() || st.finished[t])
 }
 
 fn spin_blocked(st: &ExecState, t: usize) -> bool {
@@ -355,7 +450,7 @@ fn spin_blocked(st: &ExecState, t: usize) -> bool {
     }
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -365,18 +460,22 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs one execution of `build`'s scenario under `decider`.
-pub(crate) fn run_one(
+/// Runs one execution of `build`'s scenario under `decider`, and hands
+/// the decider back with the result.
+pub(crate) fn run_one<D: Decider>(
     pool: &mut Pool,
     build: &mut dyn FnMut() -> Execution,
-    decider: &mut dyn Decider,
+    decider: D,
     max_steps: u64,
-) -> RunResult {
-    let ctx = Arc::new(ExecCtx::new());
+) -> (RunResult, D) {
+    let ctx = Arc::new(ExecCtx::new(Box::new(decider), max_steps));
     let _tls = set_current(Arc::clone(&ctx), CONTROLLER);
     let execution = build();
     let n = execution.threads.len();
-    assert!(n <= 36, "at most 36 virtual threads (schedule encoding)");
+    assert!(
+        n <= MAX_THREADS,
+        "at most 36 virtual threads (schedule encoding)"
+    );
     {
         let mut st = lock(&ctx.state);
         st.pending = vec![None; n];
@@ -400,76 +499,20 @@ pub(crate) fn run_one(
                     }
                 }
                 st.finished[tid] = true;
-                ctx.cv.notify_all();
+                if all_settled(&st) {
+                    ctx.hand_off(&mut st, tid);
+                }
             }),
         );
     }
 
-    let mut result = RunResult {
-        schedule: Schedule::default(),
-        steps: 0,
-        preemptions: 0,
-        violation: None,
-        aborted: false,
-        decider_error: None,
-    };
-    let mut prev: Option<usize> = None;
     let mut st = lock(&ctx.state);
-    loop {
-        while !all_settled(&st) {
-            st = ctx.cv.wait(st).unwrap_or_else(|e| e.into_inner());
-        }
-        let enabled: Vec<usize> = (0..n).filter(|&t| st.pending[t].is_some()).collect();
-        if enabled.is_empty() {
-            break;
-        }
-        let choosable: Vec<usize> = enabled
-            .iter()
-            .copied()
-            .filter(|&t| !spin_blocked(&st, t))
-            .collect();
-        if choosable.is_empty() {
-            // Every enabled thread is spinning on a cell nobody will
-            // write again: a genuine livelock in the fixture.
-            result.violation = Some(format!(
-                "livelock: all enabled threads {enabled:?} are spin-blocked"
-            ));
-            st = drain(&ctx, st, &enabled);
-            continue;
-        }
-        if result.steps >= max_steps {
-            result.aborted = true;
-            st = drain(&ctx, st, &enabled);
-            continue;
-        }
-        let chosen = match decider.choose(
-            result.schedule.len(),
-            &choosable,
-            &enabled,
-            &st.pending,
-            prev,
-        ) {
-            Ok(t) => t,
-            Err(msg) => {
-                result.decider_error = Some(msg);
-                st = drain(&ctx, st, &enabled);
-                continue;
-            }
-        };
-        debug_assert!(enabled.contains(&chosen));
-        if prev.is_some_and(|p| p != chosen && choosable.contains(&p)) {
-            result.preemptions += 1;
-        }
-        result.schedule.push(chosen);
-        result.steps += 1;
-        prev = Some(chosen);
-        st.granted = Some(chosen);
-        ctx.cv.notify_all();
-        while st.granted.is_some() || !settled(&st, chosen) {
-            st = ctx.cv.wait(st).unwrap_or_else(|e| e.into_inner());
-        }
+    while !st.finished.iter().all(|&f| f) {
+        st = ctx.done.wait(st).unwrap_or_else(|e| e.into_inner());
     }
+    let mut result = std::mem::take(&mut st.result);
     let panic = st.panic.take();
+    let decider: Box<dyn Any> = st.decider.take().expect("decider lent to the execution");
     drop(st);
     if result.violation.is_none() {
         result.violation = panic;
@@ -477,27 +520,8 @@ pub(crate) fn run_one(
     if result.violation.is_none() && !result.aborted && result.decider_error.is_none() {
         result.violation = (execution.check)();
     }
-    result
-}
-
-/// Aborts an in-flight execution: grants every remaining pending thread
-/// so it unwinds via [`ABORT_MSG`], leaving the pool reusable.
-fn drain<'a>(
-    ctx: &'a Arc<ExecCtx>,
-    mut st: MutexGuard<'a, ExecState>,
-    _enabled: &[usize],
-) -> MutexGuard<'a, ExecState> {
-    st.abort = true;
-    loop {
-        while !all_settled(&st) {
-            st = ctx.cv.wait(st).unwrap_or_else(|e| e.into_inner());
-        }
-        let next = (0..st.pending.len()).find(|&t| st.pending[t].is_some());
-        let Some(t) = next else { return st };
-        st.granted = Some(t);
-        ctx.cv.notify_all();
-        while st.granted.is_some() || !settled(&st, t) {
-            st = ctx.cv.wait(st).unwrap_or_else(|e| e.into_inner());
-        }
-    }
+    let decider = decider
+        .downcast::<D>()
+        .expect("the decider comes back as the type it went in");
+    (result, *decider)
 }

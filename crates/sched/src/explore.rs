@@ -242,8 +242,8 @@ pub fn explore<F: FnMut() -> Execution>(
             for _ in 0..runs {
                 poll(options, &stats)?;
                 stats.rounds += 1;
-                let mut decider = PctDecider::new(&mut rng, depth, horizon);
-                let res = exec::run_one(&mut pool, &mut build, &mut decider, options.budget.steps);
+                let decider = PctDecider::new(&mut rng, depth, horizon);
+                let (res, _) = exec::run_one(&mut pool, &mut build, decider, options.budget.steps);
                 if res.aborted {
                     return Err(SchedError::StepLimit {
                         limit: options.budget.steps,
@@ -318,15 +318,10 @@ pub fn replay<F: FnMut() -> Execution>(
     mut build: F,
 ) -> Result<Replayed, SchedError> {
     let mut pool = Pool::new();
-    let mut decider = ReplayDecider {
-        schedule: schedule.choices(),
+    let decider = ReplayDecider {
+        schedule: schedule.choices().to_vec(),
     };
-    let res = exec::run_one(
-        &mut pool,
-        &mut build,
-        &mut decider,
-        schedule.len() as u64 + 1,
-    );
+    let (res, _) = exec::run_one(&mut pool, &mut build, decider, schedule.len() as u64 + 1);
     if let Some(msg) = res.decider_error {
         return Err(SchedError::Replay(msg));
     }
@@ -372,8 +367,8 @@ fn dfs<F: FnMut() -> Execution>(
     let mut stack: Vec<Branch> = vec![(Vec::new(), Vec::new())];
     while let Some((prefix, sleep)) = stack.pop() {
         poll(options, stats)?;
-        let mut decider = DfsDecider {
-            prefix: &prefix,
+        let decider = DfsDecider {
+            prefix,
             sleep,
             use_sleep: sleep_sets,
             preemption_bound,
@@ -384,7 +379,7 @@ fn dfs<F: FnMut() -> Execution>(
             taken: Vec::new(),
             siblings: Vec::new(),
         };
-        let res = exec::run_one(pool, build, &mut decider, options.budget.steps);
+        let (res, decider) = exec::run_one(pool, build, decider, options.budget.steps);
         if let Some(msg) = res.decider_error {
             // A prefix generated by a previous run must replay cleanly;
             // failure means the scenario is not deterministic.
@@ -420,8 +415,8 @@ fn dfs<F: FnMut() -> Execution>(
 
 /// DFS decider: follows a prefix, then takes default choices while
 /// generating sibling prefixes with their sleep sets.
-struct DfsDecider<'a> {
-    prefix: &'a [u8],
+struct DfsDecider {
+    prefix: Vec<u8>,
     /// Current sleep set: threads (with the access they announced when
     /// put to sleep) whose scheduling would re-explore a covered
     /// subtree.
@@ -438,13 +433,13 @@ struct DfsDecider<'a> {
     siblings: Vec<Branch>,
 }
 
-impl DfsDecider<'_> {
+impl DfsDecider {
     fn switch_cost(prev: Option<usize>, to: usize, choosable: &[usize]) -> u32 {
         u32::from(prev.is_some_and(|p| p != to && choosable.contains(&p)))
     }
 }
 
-impl Decider for DfsDecider<'_> {
+impl Decider for DfsDecider {
     fn choose(
         &mut self,
         step: usize,
@@ -602,11 +597,11 @@ impl Decider for PctDecider {
 }
 
 /// Replay decider: the recorded schedule, verbatim.
-struct ReplayDecider<'a> {
-    schedule: &'a [u8],
+struct ReplayDecider {
+    schedule: Vec<u8>,
 }
 
-impl Decider for ReplayDecider<'_> {
+impl Decider for ReplayDecider {
     fn choose(
         &mut self,
         step: usize,

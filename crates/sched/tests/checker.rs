@@ -1,8 +1,12 @@
 //! Acceptance tests for the model checker: exhaustive coverage of the
-//! SRSW conversation, the planted-bug fixture, replay determinism, and
-//! typed budget errors.
+//! SRSW conversation, the planted-bug fixture, replay determinism, typed
+//! budget errors, and every way an execution is abandoned.
 
-use wfc_sched::{explore, fixtures, replay, Mode, SchedError, SchedOptions, SchedSpec};
+use std::sync::Arc;
+
+use wfc_sched::{
+    explore, fixtures, replay, Cell, Execution, Mode, SchedError, SchedOptions, SchedSpec,
+};
 
 fn exhaustive(sleep_sets: bool) -> SchedOptions {
     SchedOptions::default().with_mode(Mode::Exhaustive { sleep_sets })
@@ -254,4 +258,105 @@ fn query_documents_are_deterministic_and_replayable() {
     let r2 = replay_spec.run().unwrap().render();
     assert_eq!(r1, r2);
     assert!(r1.contains("torn read"), "{r1}");
+}
+
+/// A clean `srsw` exploration after an abandoned one: the abort left no
+/// virtual thread parked and no pool worker wedged, so the next
+/// exploration runs to its usual, exact result.
+fn assert_next_exploration_is_clean() {
+    let mut build = fixtures::build("srsw").unwrap();
+    let found = explore(&exhaustive(true), &mut build).unwrap();
+    assert_eq!((found.schedules, found.steps), (187, 3396));
+    assert!(found.complete && found.counterexample.is_none());
+}
+
+/// A step budget smaller than one execution abandons it mid-schedule
+/// and reports the prefix that ran.
+#[test]
+fn step_budget_abandons_the_execution_with_its_schedule() {
+    let mut build = fixtures::build("srsw").unwrap();
+    let err = explore(&exhaustive(true).with_max_steps(5), &mut build).unwrap_err();
+    match err {
+        SchedError::StepLimit { limit, schedule } => {
+            assert_eq!(limit, 5);
+            assert_eq!(schedule.len(), 5, "{schedule}");
+        }
+        other => panic!("expected StepLimit, got {other:?}"),
+    }
+    assert_next_exploration_is_clean();
+}
+
+/// Two threads spinning on a cell nobody writes are both spin-blocked
+/// after two identical reads: a livelock violation, not a hang.
+#[test]
+fn threads_spinning_on_an_unwritten_cell_are_a_livelock() {
+    let mut build = || {
+        let flag = Arc::new(Cell::new(false));
+        let spinner = |flag: Arc<Cell<bool>>| -> Box<dyn FnOnce() + Send> {
+            Box::new(move || while !flag.load() {})
+        };
+        Execution {
+            threads: vec![spinner(Arc::clone(&flag)), spinner(flag)],
+            check: Box::new(|| None),
+        }
+    };
+    let found = explore(&exhaustive(true), &mut build).unwrap();
+    let cx = found.counterexample.expect("livelock reported");
+    assert!(cx.message.starts_with("livelock"), "{}", cx.message);
+    assert_next_exploration_is_clean();
+}
+
+/// A builder whose scenario changes between calls cannot replay the
+/// DFS prefixes it generated: a typed error, not a wrong verdict.
+#[test]
+fn a_nondeterministic_builder_is_a_diverged_prefix() {
+    let mut calls = 0;
+    let mut build = || {
+        calls += 1;
+        let cell = Arc::new(Cell::new(0u8));
+        // Two writers on the first call, one afterwards: the sibling
+        // prefix that starts with thread 1 names a thread that is gone.
+        let threads = (0..if calls == 1 { 2 } else { 1 })
+            .map(|t| {
+                let cell = Arc::clone(&cell);
+                Box::new(move || cell.store(t)) as Box<dyn FnOnce() + Send>
+            })
+            .collect();
+        Execution {
+            threads,
+            check: Box::new(|| None),
+        }
+    };
+    let err = explore(&exhaustive(true), &mut build).unwrap_err();
+    match err {
+        SchedError::Replay(msg) => assert!(msg.contains("DFS prefix diverged"), "{msg}"),
+        other => panic!("expected a replay error, got {other:?}"),
+    }
+    assert_next_exploration_is_clean();
+}
+
+/// A fixture thread that panics is the execution's violation.
+#[test]
+fn a_panicking_thread_is_the_reported_violation() {
+    let mut build = || {
+        let cell = Arc::new(Cell::new(0u8));
+        let other = Arc::clone(&cell);
+        Execution {
+            threads: vec![
+                Box::new(move || {
+                    cell.store(1);
+                    panic!("fixture assertion failed");
+                }),
+                Box::new(move || other.store(2)),
+            ],
+            check: Box::new(|| None),
+        }
+    };
+    let found = explore(&exhaustive(true), &mut build).unwrap();
+    let cx = found.counterexample.expect("panic reported");
+    assert_eq!(
+        cx.message,
+        "virtual thread 0 panicked: fixture assertion failed"
+    );
+    assert_next_exploration_is_clean();
 }

@@ -366,7 +366,7 @@ mod tests {
                         frame = back;
                         std::thread::yield_now();
                     }
-                    if rng.next() % 64 == 0 {
+                    if rng.next().is_multiple_of(64) {
                         std::thread::yield_now();
                     }
                 }
@@ -425,7 +425,7 @@ mod tests {
                         v.clear();
                         v.extend_from_slice(&all);
                     });
-                    if rng.next() % 256 == 0 {
+                    if rng.next().is_multiple_of(256) {
                         std::thread::yield_now();
                     }
                 }

@@ -130,7 +130,7 @@ mod tests {
             std::thread::scope(|s| {
                 s.spawn(|| {
                     let mut rng = crate::tests::SplitMix64::new(round);
-                    if rng.next() % 4 == 0 {
+                    if rng.next().is_multiple_of(4) {
                         std::thread::yield_now();
                     }
                     cell.set((round, round.wrapping_mul(0x9e37_79b9_7f4a_7c15)));

@@ -251,7 +251,7 @@ mod tests {
                         // consumer can't drain until we deschedule.
                         std::thread::yield_now();
                     }
-                    if rng.next() % 64 == 0 {
+                    if rng.next().is_multiple_of(64) {
                         std::thread::yield_now();
                     }
                 }
@@ -266,7 +266,7 @@ mod tests {
                         }
                     };
                     assert_eq!(got, encode(i), "FIFO order and integrity at {i}");
-                    if rng.next() % 64 == 0 {
+                    if rng.next().is_multiple_of(64) {
                         std::thread::yield_now();
                     }
                 }

@@ -201,7 +201,7 @@ mod tests {
                 let mut rng = crate::tests::SplitMix64::new(42);
                 for i in 1..=N {
                     w.publish(pair(i));
-                    if rng.next() % 128 == 0 {
+                    if rng.next().is_multiple_of(128) {
                         std::thread::yield_now();
                     }
                 }
