@@ -2,20 +2,20 @@
 //! lock-based rendezvous points with `wfc-waitfree` primitives buy on
 //! the uncontended fast path?
 //!
-//! Three pairs, one per primitive, each against the mutexed structure
-//! it replaced: the SPSC ring vs a `Mutex<VecDeque>` (the worker→IO
-//! response path), the triple buffer vs a mutexed slot (span-batch
+//! Three pairs, one per primitive, each against its mutexed
+//! counterpart: the SPSC ring vs a `Mutex<VecDeque>` (the worker→IO
+//! response path), the triple buffer vs a mutexed slot (latest-value
 //! publication), and the write-once cell vs `Mutex<Option<_>>` (pool
 //! result slots). Both arms run the same operation sequence on one
 //! thread, so the pair isolates *protocol* cost — the atomics and
 //! fences — from scheduling noise.
 //!
-//! The footer prints the measured ratios. They are **informational**,
-//! not acceptance gates: CI runs on a single-CPU container, where an
-//! uncontended `futex` lock is near its best case and the wait-free
-//! progress guarantee (no producer ever parks behind a descheduled
-//! lock-holder) never gets to show up — the property the primitives
-//! were actually adopted for. With `WFC_OBS_JSON` set the group emits
+//! The footer prints the measured ratios and the host's available
+//! parallelism. The ratios are **informational**, not acceptance gates:
+//! both arms run on one thread, where an uncontended `futex` lock is
+//! near its best case and the wait-free progress guarantee (no producer
+//! ever parks behind a descheduled lock-holder) never gets to show up —
+//! the property the primitives were actually adopted for. With `WFC_OBS_JSON` set the group emits
 //! `BENCH_waitfree.json` for `wfc-report`'s trajectory table.
 
 use std::collections::VecDeque;
@@ -104,7 +104,7 @@ fn bench_waitfree(c: &mut Criterion) {
     });
 
     // Footer: pairwise ratios (wait-free, mutex) per primitive — see
-    // the module docs for why these are informational on one CPU.
+    // the module docs for why these are informational.
     for pair in g.results().chunks(2) {
         let [wait_free, mutexed] = pair else { continue };
         if wait_free.median_ns <= 0.0 {
@@ -114,8 +114,9 @@ fn bench_waitfree(c: &mut Criterion) {
         let primitive = wait_free.id.split('/').next().unwrap_or("?");
         println!("waitfree/{primitive:<8} mutex-baseline ratio: {ratio:.2}x (informational)");
     }
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
-        "waitfree: single-CPU container — uncontended ratios only; the wait-free win \
+        "waitfree: {cpus} CPU(s) available; uncontended ratios only — the wait-free win \
          (no producer parks behind a descheduled lock-holder) needs real contention"
     );
     g.finish();

@@ -1,11 +1,11 @@
 //! The flight recorder: a fixed-capacity, lock-free ring of completed
 //! request records, overwritten forever.
 //!
-//! This is the "black box" of the serving layer: the last `capacity`
-//! completed requests are always available for dumping — on demand
-//! (the `stats` introspection query) or when an anomaly trips — without
-//! the recorder ever allocating, locking, or blocking a writer on the
-//! hot path.
+//! This is the "black box" of the serving layer: the most recent
+//! completed requests, up to `capacity`, are available for dumping — on
+//! demand (the `stats` introspection query) or when an anomaly trips —
+//! without the recorder ever allocating, locking, or blocking a writer
+//! on the hot path.
 //!
 //! ## Record shape
 //!
@@ -20,12 +20,14 @@
 //!
 //! Each slot carries a sequence word alongside its data words. A writer
 //! claims a ticket `t` with one `fetch_add` on the shared head, picks
-//! slot `t % capacity`, and publishes with the classic seqlock dance:
+//! slot `t % capacity`, and publishes with a seqlock dance whose first
+//! step is a claim:
 //!
-//! 1. store `seq = 2·t + 1` (odd: "write in progress"), then a
-//!    `Release` fence;
-//! 2. store the data words (`Relaxed` — each word is itself atomic, so
-//!    there is no data race, only possible *mixing* across writers);
+//! 1. load `seq`; if it is even and below `2·t + 1`, claim the slot with
+//!    one `compare_exchange(seq → 2·t + 1)` (odd: "write in progress"),
+//!    then issue a `Release` fence;
+//! 2. store the data words (`Relaxed` — each word is itself atomic, and
+//!    the claim makes this writer the slot's only writer);
 //! 3. store `seq = 2·t + 2` (`Release`: orders the data stores before
 //!    the even value readers wait for).
 //!
@@ -38,13 +40,15 @@
 //! reads concurrent with writes stay consistent without blocking
 //! either side.
 //!
-//! Two writers collide on one slot only when a writer falls a full
-//! ring lap (`capacity` pushes) behind between claiming its ticket and
-//! finishing its three stores — with capacities in the hundreds and a
-//! bounded writer population (the server's fixed thread total), that
-//! window is unreachable in practice; a reader that does catch a mixed
-//! slot sees a torn sequence and drops it rather than reporting a
-//! frankenstein record.
+//! Two writers meet on one slot only when one falls a full ring lap
+//! (`capacity` pushes) behind between taking its ticket and claiming
+//! its slot, or when one claims while another is still writing. The
+//! claim settles both: a writer that finds the slot odd (someone is
+//! writing) or already at a newer ticket, or that loses the CAS, drops
+//! its record. So a slot has at most one writer at a time, a stale
+//! record never overwrites a newer one, and `push` stays wait-free — it
+//! never retries. Sequence values only grow, so the CAS cannot be
+//! fooled by a recycled value.
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
@@ -105,22 +109,34 @@ impl FlightRecorder {
     }
 
     /// Publishes one record, overwriting the oldest once the ring is
-    /// full. Lock-free and allocation-free: one `fetch_add` plus
-    /// `RECORD_WORDS + 2` plain stores.
+    /// full. Wait-free and allocation-free: one `fetch_add`, one load,
+    /// one `compare_exchange`, then `RECORD_WORDS + 1` plain stores. A
+    /// writer that cannot claim its slot (see the module docs) drops
+    /// the record instead.
     pub fn push(&self, words: &[u64; RECORD_WORDS]) {
         let ticket = self.head.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(ticket % self.slots.len() as u64) as usize];
-        slot.seq.store(2 * ticket + 1, Ordering::Relaxed);
+        let claim = 2 * ticket + 1;
+        let seq = slot.seq.load(Ordering::Relaxed);
+        if seq % 2 == 1
+            || seq >= claim
+            || slot
+                .seq
+                .compare_exchange(seq, claim, Ordering::Relaxed, Ordering::Relaxed)
+                .is_err()
+        {
+            return;
+        }
         fence(Ordering::Release);
         for (word, &value) in slot.words.iter().zip(words) {
             word.store(value, Ordering::Relaxed);
         }
-        slot.seq.store(2 * ticket + 2, Ordering::Release);
+        slot.seq.store(claim + 1, Ordering::Release);
     }
 
     /// A wait-free consistent copy of every fully published record,
-    /// oldest first. Slots mid-write (or torn by a racing overwrite)
-    /// are skipped, never invented; concurrent pushes make the
+    /// oldest first. Slots mid-write (or overwritten while being
+    /// copied) are skipped, never invented; concurrent pushes make the
     /// snapshot a *recent* tail, not a linearization point.
     pub fn snapshot(&self) -> Vec<FlightRecord> {
         let mut records = Vec::with_capacity(self.slots.len());
@@ -135,7 +151,7 @@ impl FlightRecorder {
             }
             fence(Ordering::Acquire);
             if slot.seq.load(Ordering::Relaxed) != seq {
-                continue; // torn by a concurrent overwrite
+                continue; // overwritten while we copied
             }
             records.push(FlightRecord {
                 ticket: seq / 2 - 1,
@@ -202,6 +218,39 @@ mod tests {
             snap.iter().map(|r| r.ticket).collect::<Vec<_>>(),
             vec![0, 1, 2, 3, 4]
         );
+    }
+
+    /// A writer lapped before it claims its slot must leave the newer
+    /// record alone, not overwrite it with a stale one.
+    #[test]
+    fn a_lapped_writer_drops_its_record() {
+        let ring = FlightRecorder::new(4);
+        // Slot 0 already holds ticket 4 (as if the writer of ticket 4
+        // overtook the one of ticket 0) ...
+        let slot = &ring.slots[0];
+        slot.seq.store(2 * 4 + 2, Ordering::Relaxed);
+        for (word, value) in slot.words.iter().zip(pattern(4)) {
+            word.store(value, Ordering::Relaxed);
+        }
+        // ... so the late push of ticket 0 must drop its record.
+        ring.push(&pattern(0));
+        assert_eq!(ring.recorded(), 1);
+        assert_eq!(slot.seq.load(Ordering::Relaxed), 2 * 4 + 2);
+        assert_eq!(
+            ring.snapshot(),
+            vec![FlightRecord {
+                ticket: 4,
+                words: pattern(4)
+            }]
+        );
+        // A slot still being written (odd `seq`) is not claimable either.
+        ring.slots[1].seq.store(1, Ordering::Relaxed);
+        ring.push(&pattern(1));
+        assert_eq!(ring.slots[1].seq.load(Ordering::Relaxed), 1);
+        assert!(ring.slots[1]
+            .words
+            .iter()
+            .all(|w| w.load(Ordering::Relaxed) == 0));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The measurement substrate for the whole workspace: named atomic
 //! [`metrics`] (counters, gauges, power-of-two-bucket histograms),
-//! lightweight [`span`]s recorded into per-thread buffers that merge
+//! lightweight [`span`]s aggregated per thread and merged
 //! deterministically at drain, a hand-rolled [`json`] writer/parser, and
 //! a stable [`report::RunReport`] JSON schema that the explorer, the
 //! Section 4.2 analyses and the bench harness all emit.
@@ -205,14 +205,14 @@ mod tests {
         assert!(snap.gauges.is_empty(), "{:?}", snap.gauges);
         assert!(snap.histograms.is_empty(), "{:?}", snap.histograms);
         // The disabled drain is lock-free: one relaxed load decides
-        // there is nothing pending, and the span registry lock is
-        // never taken.
-        let locks_before = span::registry_locks();
+        // nothing was flushed, and the span collector lock is never
+        // taken.
+        let locks_before = span::collector_locks();
         assert!(span::drain().is_empty());
         assert_eq!(
-            span::registry_locks(),
+            span::collector_locks(),
             locks_before,
-            "a disabled drain must not touch the registry lock"
+            "a disabled drain must not touch the collector lock"
         );
         set_enabled(was);
     }

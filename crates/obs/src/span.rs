@@ -1,162 +1,118 @@
-//! Lightweight spans: monotonic start/stop pairs recorded into
-//! per-thread buffers, merged deterministically at drain.
+//! Lightweight spans: monotonic start/stop pairs aggregated per thread,
+//! merged deterministically at drain.
 //!
 //! A span is opened with [`enter`] (or the [`span!`](crate::span) macro)
-//! and records its wall-clock duration into the *current thread's*
-//! buffer when the returned [`SpanGuard`] drops — no cross-thread
-//! synchronisation on the hot path. Buffers flush when their thread
-//! exits (scoped explorer workers exit before their spawner resumes)
-//! and when [`drain`] runs on the calling thread.
+//! and, when the returned [`SpanGuard`] drops, folds its wall-clock
+//! duration into the *current thread's* aggregate for its
+//! `(name, label)` key — count, total, min and max nanoseconds. No
+//! record is kept, so a thread's span memory is bounded by the number
+//! of distinct keys it has closed, not by how long it has run, and the
+//! hot path takes no cross-thread synchronisation.
 //!
-//! ## The wait-free flush path
+//! ## Flushing
 //!
-//! A flush used to append into a global `Mutex<Vec<_>>` collector;
-//! it now publishes through a `wfc-waitfree` snapshot channel (a triple
-//! buffer of boxed batches). Each thread owns one publisher; the global
-//! registry holds the matching subscribers and is locked only twice per
-//! thread lifetime on the producer side — once to register, never again
-//! — so a flush is a single wait-free publication regardless of how
-//! many threads flush or drain concurrently.
-//!
-//! The triple buffer is *lossy* (a reader sees the latest snapshot, not
-//! every one), so publications are **cumulative**: every flush
-//! publishes the thread's full record list, and the drainer remembers
-//! per-slot how many records it has already consumed. An overwritten
-//! intermediate snapshot is then harmless — the surviving one is a
-//! superset. A global [`PENDING`] counter (published minus consumed)
-//! lets a drain with nothing to collect return after one relaxed load,
-//! without touching the registry lock at all — the disabled path of the
-//! zero-cost contract.
+//! A thread flushes when it exits (scoped explorer workers exit before
+//! their spawner resumes) and when it calls [`drain`]: it moves its
+//! aggregates into one global collector map under a mutex and raises a
+//! relaxed flag. Each thread's map is a single-writer part, and the
+//! collector is the only shared object, touched once per flush rather
+//! than once per span. A drain that reads the flag as lowered has
+//! nothing to collect and returns without taking the lock — the
+//! disabled path of the zero-cost contract.
 //!
 //! ## The deterministic merge rule
 //!
-//! [`drain`] aggregates all records by `(name, label)` and returns the
-//! aggregates sorted by that key. Which *thread* produced a record never
-//! enters the key, and per-key counts depend only on the work performed,
-//! so two runs of the same workload at the same thread count drain to
-//! the same set of keys with the same counts — only the nanosecond
-//! figures vary. Instrumented computations themselves are unaffected:
-//! spans are a write-only side channel.
+//! [`drain`] returns the aggregates sorted by `(name, label)`. Which
+//! *thread* closed a span never enters the key, and per-key counts
+//! depend only on the work performed, so two runs of the same workload
+//! at the same thread count drain to the same set of keys with the same
+//! counts — only the nanosecond figures vary. Instrumented computations
+//! themselves are unaffected: spans are a write-only side channel.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
-use wfc_waitfree::{snapshot, SnapshotPublisher, SnapshotSubscriber};
-
-/// One closed span, as buffered per thread.
-#[derive(Clone, Debug)]
-struct SpanRecord {
-    name: &'static str,
-    label: String,
-    dur_ns: u64,
+/// Running totals for one `(name, label)` key.
+#[derive(Clone, Copy, Debug)]
+struct Agg {
+    count: u64,
+    total_ns: u64,
+    min_ns: u64,
+    max_ns: u64,
 }
 
-/// The drainer's half of one thread's snapshot channel.
-struct RegEntry {
-    sub: SnapshotSubscriber<Vec<SpanRecord>>,
-    /// How many records of the cumulative batch are already merged.
-    consumed: usize,
-    /// Set by the publishing thread after its final flush; the entry is
-    /// pruned at the next drain.
-    retired: Arc<AtomicBool>,
-}
+impl Agg {
+    const EMPTY: Agg = Agg {
+        count: 0,
+        total_ns: 0,
+        min_ns: u64::MAX,
+        max_ns: 0,
+    };
 
-static REGISTRY: Mutex<Vec<RegEntry>> = Mutex::new(Vec::new());
-
-/// Records published but not yet consumed by a drain, summed over all
-/// slots. A relaxed zero here proves a drain has nothing to collect.
-static PENDING: AtomicUsize = AtomicUsize::new(0);
-
-#[cfg(test)]
-static REGISTRY_LOCKS: AtomicUsize = AtomicUsize::new(0);
-
-fn registry() -> std::sync::MutexGuard<'static, Vec<RegEntry>> {
-    #[cfg(test)]
-    REGISTRY_LOCKS.fetch_add(1, Ordering::Relaxed);
-    REGISTRY.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// How many times the registry lock has been taken (zero-cost tests
-/// assert a disabled drain leaves this unchanged).
-#[cfg(test)]
-pub(crate) fn registry_locks() -> usize {
-    REGISTRY_LOCKS.load(Ordering::Relaxed)
-}
-
-/// Published-but-unconsumed record count (tests use it to wait for
-/// worker flushes, which land in thread-local destructors).
-#[cfg(test)]
-pub(crate) fn pending_records() -> usize {
-    PENDING.load(Ordering::Relaxed)
-}
-
-/// This thread's span buffer and (once it has flushed) its publisher.
-struct LocalBuf {
-    records: Vec<SpanRecord>,
-    /// Prefix of `records` already published (and counted in PENDING).
-    published: usize,
-    slot: Option<Slot>,
-}
-
-struct Slot {
-    publisher: SnapshotPublisher<Vec<SpanRecord>>,
-    retired: Arc<AtomicBool>,
-}
-
-impl LocalBuf {
-    /// Publishes the cumulative record list. Wait-free except for the
-    /// first flush of the thread's lifetime, which registers the
-    /// subscriber half with the drainer.
-    fn flush(&mut self) {
-        if self.records.len() == self.published {
-            return;
-        }
-        let slot = self.slot.get_or_insert_with(|| {
-            let (publisher, sub) = snapshot(Vec::new);
-            let retired = Arc::new(AtomicBool::new(false));
-            registry().push(RegEntry {
-                sub,
-                consumed: 0,
-                retired: Arc::clone(&retired),
-            });
-            Slot { publisher, retired }
-        });
-        // Count before publishing: a racing drain may then see PENDING
-        // overshoot and take nothing (it retries later), but can never
-        // consume records before they are counted — so PENDING never
-        // underflows.
-        PENDING.fetch_add(self.records.len() - self.published, Ordering::Relaxed);
-        let records = &self.records;
-        slot.publisher.publish_with(|batch| {
-            batch.clear();
-            batch.extend_from_slice(records);
-        });
-        self.published = self.records.len();
+    fn merge(&mut self, other: Agg) {
+        self.count += other.count;
+        self.total_ns += other.total_ns;
+        self.min_ns = self.min_ns.min(other.min_ns);
+        self.max_ns = self.max_ns.max(other.max_ns);
     }
 }
 
-impl Drop for LocalBuf {
+type Aggregates = BTreeMap<(&'static str, String), Agg>;
+
+/// Every flushed aggregate not yet drained.
+static COLLECTOR: Mutex<Aggregates> = Mutex::new(BTreeMap::new());
+
+/// Raised (under the collector lock) when a flush makes the collector
+/// non-empty; lowered by the drain that empties it. `Relaxed` suffices:
+/// the flag publishes no data — the mutex does — and a drain that
+/// misses a concurrent flush's raise collects it at the next drain.
+static FLUSHED: AtomicBool = AtomicBool::new(false);
+
+#[cfg(test)]
+static COLLECTOR_LOCKS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+
+fn collector() -> std::sync::MutexGuard<'static, Aggregates> {
+    #[cfg(test)]
+    COLLECTOR_LOCKS.fetch_add(1, Ordering::Relaxed);
+    // Every merge leaves the map valid, so a poisoned lock is safe to
+    // recover.
+    COLLECTOR.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// How many times the collector lock has been taken (zero-cost tests
+/// assert a disabled drain leaves this unchanged).
+#[cfg(test)]
+pub(crate) fn collector_locks() -> usize {
+    COLLECTOR_LOCKS.load(Ordering::Relaxed)
+}
+
+/// This thread's aggregates since its last flush.
+struct LocalAggs(Aggregates);
+
+impl LocalAggs {
+    fn flush(&mut self) {
+        if self.0.is_empty() {
+            return;
+        }
+        let mut global = collector();
+        for (key, agg) in std::mem::take(&mut self.0) {
+            global.entry(key).or_insert(Agg::EMPTY).merge(agg);
+        }
+        FLUSHED.store(true, Ordering::Relaxed);
+    }
+}
+
+impl Drop for LocalAggs {
     fn drop(&mut self) {
         self.flush();
-        if let Some(slot) = &self.slot {
-            // Release: the final publication above is ordered before
-            // the retirement flag a pruning drain acquires.
-            slot.retired.store(true, Ordering::Release);
-        }
     }
 }
 
 thread_local! {
-    static BUF: RefCell<LocalBuf> = const {
-        RefCell::new(LocalBuf {
-            records: Vec::new(),
-            published: 0,
-            slot: None,
-        })
-    };
+    static LOCAL: RefCell<LocalAggs> = const { RefCell::new(LocalAggs(BTreeMap::new())) };
 }
 
 /// An open span; records its duration on drop. Inert (and free) when
@@ -170,15 +126,23 @@ pub struct SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some((name, label, start)) = self.open.take() {
-            let rec = SpanRecord {
-                name,
-                label,
-                dur_ns: start.elapsed().as_nanos() as u64,
+            let dur_ns = start.elapsed().as_nanos() as u64;
+            let one = Agg {
+                count: 1,
+                total_ns: dur_ns,
+                min_ns: dur_ns,
+                max_ns: dur_ns,
             };
             // A thread-local at destruction time (thread teardown) would
             // panic on access; spans are only opened from live code, so
             // plain access is fine.
-            BUF.with(|b| b.borrow_mut().records.push(rec));
+            LOCAL.with(|l| {
+                l.borrow_mut()
+                    .0
+                    .entry((name, label))
+                    .or_insert(Agg::EMPTY)
+                    .merge(one)
+            });
         }
     }
 }
@@ -209,142 +173,114 @@ pub fn enter_lazy(on: bool, name: &'static str, label: impl FnOnce() -> String) 
     }
 }
 
-/// The aggregate of all records sharing one `(name, label)` key.
+/// The aggregate of all spans sharing one `(name, label)` key.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SpanStat {
     /// The span's name.
     pub name: String,
     /// The span's label (may be empty).
     pub label: String,
-    /// Number of records merged into this aggregate.
+    /// Number of spans merged into this aggregate.
     pub count: u64,
-    /// Sum of durations, nanoseconds.
-    pub min_ns: u64,
     /// Shortest single duration, nanoseconds.
-    pub max_ns: u64,
+    pub min_ns: u64,
     /// Longest single duration, nanoseconds.
+    pub max_ns: u64,
+    /// Sum of durations, nanoseconds.
     pub total_ns: u64,
 }
 
-/// Refreshes every registered slot, collecting records past each slot's
-/// consumed watermark; prunes slots whose thread has retired. `discard`
-/// skips the collection (for [`reset`]) but still advances watermarks.
-fn collect(records: &mut Vec<SpanRecord>, discard: bool) {
-    let mut reg = registry();
-    reg.retain_mut(|entry| {
-        // Load retirement *before* refreshing: if the flag is already
-        // set, the publisher's final flush happened before it (release/
-        // acquire), so the refresh below observes the complete batch
-        // and pruning loses nothing.
-        let retired = entry.retired.load(Ordering::Acquire);
-        entry.sub.refresh();
-        let consumed = entry.consumed;
-        let len = entry.sub.with(|batch| {
-            // `min` guards the invariant defensively; cumulative
-            // publication means a batch never shrinks.
-            let from = consumed.min(batch.len());
-            if !discard {
-                records.extend_from_slice(&batch[from..]);
-            }
-            batch.len()
-        });
-        if len > consumed {
-            PENDING.fetch_sub(len - consumed, Ordering::Relaxed);
-        }
-        entry.consumed = len;
-        !retired
-    });
+/// Empties the collector, or returns an empty map without locking if
+/// nothing was flushed since the last take.
+fn take_flushed() -> Aggregates {
+    if !FLUSHED.load(Ordering::Relaxed) {
+        return BTreeMap::new();
+    }
+    let mut global = collector();
+    FLUSHED.store(false, Ordering::Relaxed);
+    std::mem::take(&mut *global)
 }
 
-/// Flushes the calling thread's buffer, takes every published record,
-/// and merges them into per-`(name, label)` aggregates sorted by that
-/// key — the deterministic merge rule (see the module docs).
+/// Flushes the calling thread's aggregates, takes every flushed one,
+/// and returns them sorted by `(name, label)` — the deterministic merge
+/// rule (see the module docs).
 ///
 /// With nothing recorded anywhere (in particular, whenever observability
 /// is disabled) this is one thread-local check and one relaxed load —
 /// no lock is taken.
 pub fn drain() -> Vec<SpanStat> {
-    BUF.with(|b| b.borrow_mut().flush());
-    if PENDING.load(Ordering::Relaxed) == 0 {
-        return Vec::new();
-    }
-    let mut records = Vec::new();
-    collect(&mut records, false);
-    let mut merged: BTreeMap<(String, String), SpanStat> = BTreeMap::new();
-    for r in records {
-        merged
-            .entry((r.name.to_owned(), r.label.clone()))
-            .and_modify(|s| {
-                s.count += 1;
-                s.total_ns += r.dur_ns;
-                s.min_ns = s.min_ns.min(r.dur_ns);
-                s.max_ns = s.max_ns.max(r.dur_ns);
-            })
-            .or_insert_with(|| SpanStat {
-                name: r.name.to_owned(),
-                label: r.label,
-                count: 1,
-                total_ns: r.dur_ns,
-                min_ns: r.dur_ns,
-                max_ns: r.dur_ns,
-            });
-    }
-    merged.into_values().collect()
+    LOCAL.with(|l| l.borrow_mut().flush());
+    take_flushed()
+        .into_iter()
+        .map(|((name, label), a)| SpanStat {
+            name: name.to_owned(),
+            label,
+            count: a.count,
+            min_ns: a.min_ns,
+            max_ns: a.max_ns,
+            total_ns: a.total_ns,
+        })
+        .collect()
 }
 
-/// Discards the calling thread's unpublished records and every
-/// published-but-undrained record.
+/// Discards the calling thread's unflushed aggregates and every flushed
+/// but undrained one.
 pub fn reset() {
-    BUF.with(|b| {
-        let mut b = b.borrow_mut();
-        // Keep the already-published prefix: the cumulative batch must
-        // never shrink below a drainer's consumed watermark. The prefix
-        // is never delivered again — the watermark is already past it.
-        let published = b.published;
-        b.records.truncate(published);
-    });
-    if PENDING.load(Ordering::Relaxed) == 0 {
-        return;
-    }
-    collect(&mut Vec::new(), true);
+    LOCAL.with(|l| l.borrow_mut().0.clear());
+    take_flushed();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Runs `work` on `threads` scoped threads and joins each one
+    /// explicitly: the implicit join at the end of a scope may return
+    /// before a thread's thread-local destructors — its exit flush —
+    /// have run, while an explicit join waits for them.
+    fn on_threads(threads: usize, work: impl Fn() + Sync) {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..threads).map(|_| s.spawn(&work)).collect();
+            for h in handles {
+                h.join().expect("span worker panicked");
+            }
+        });
+    }
+
     #[test]
     fn spans_from_scoped_threads_merge_deterministically() {
         let _l = crate::tests::test_lock();
         reset();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for level in 0..3u32 {
-                        let _g = enter("t.bfs_level", format!("level={level}"));
-                    }
-                });
+        on_threads(4, || {
+            for level in 0..3u32 {
+                let _g = enter("t.bfs_level", format!("level={level}"));
             }
         });
-        // Worker buffers publish in thread-local destructors, which the
-        // platform may complete *after* the scope join observes thread
-        // exit — wait for all 12 records to be pending.
-        for _ in 0..1000 {
-            if pending_records() >= 12 {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
         let stats = drain();
         assert_eq!(stats.len(), 3, "{stats:?}");
         for (i, st) in stats.iter().enumerate() {
             assert_eq!(st.name, "t.bfs_level");
             assert_eq!(st.label, format!("level={i}"), "sorted by (name, label)");
-            assert_eq!(st.count, 4, "one record per worker");
-            assert!(st.min_ns <= st.max_ns);
-            assert!(st.total_ns >= st.max_ns);
+            assert_eq!(st.count, 4, "one span per worker");
         }
-        assert!(drain().is_empty(), "drain consumes the records");
+        assert!(drain().is_empty(), "drain consumes the aggregates");
+    }
+
+    #[test]
+    fn aggregates_fold_min_max_and_total() {
+        let _l = crate::tests::test_lock();
+        reset();
+        for _ in 0..3 {
+            let _g = enter("t.fold", String::new());
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        let stats = drain();
+        assert_eq!(stats.len(), 1, "{stats:?}");
+        let st = &stats[0];
+        assert_eq!(st.count, 3);
+        assert!(st.min_ns >= 1_000_000, "{st:?}");
+        assert!(3 * st.min_ns <= st.total_ns, "{st:?}");
+        assert!(st.total_ns <= 3 * st.max_ns, "{st:?}");
     }
 
     #[test]
@@ -357,10 +293,25 @@ mod tests {
         assert!(drain().is_empty());
     }
 
-    /// Repeated flush/drain cycles on one thread deliver every record
-    /// exactly once — the cumulative-batch watermark bookkeeping.
+    /// Per-thread span state is bounded by the number of distinct keys,
+    /// not by how many spans the thread has closed.
     #[test]
-    fn incremental_drains_deliver_each_record_once() {
+    fn a_thread_holds_one_aggregate_per_key() {
+        let _l = crate::tests::test_lock();
+        reset();
+        let labels = ["a", "b", "c"];
+        for i in 0..100_000 {
+            let _g = enter("t.bounded", labels[i % 3].to_owned());
+        }
+        assert_eq!(LOCAL.with(|l| l.borrow().0.len()), 3);
+        let stats = drain();
+        assert_eq!(stats.len(), 3);
+        assert_eq!(stats.iter().map(|s| s.count).sum::<u64>(), 100_000);
+    }
+
+    /// Repeated drains on one thread deliver every span exactly once.
+    #[test]
+    fn incremental_drains_deliver_each_span_once() {
         let _l = crate::tests::test_lock();
         reset();
         for round in 0..3u32 {
@@ -375,18 +326,21 @@ mod tests {
         assert!(drain().is_empty());
     }
 
-    /// `reset` discards unpublished and published records alike, and a
+    /// `reset` discards flushed and unflushed aggregates alike, and a
     /// thread keeps working after it.
     #[test]
-    fn reset_discards_published_and_unpublished_records() {
+    fn reset_discards_flushed_and_unflushed_aggregates() {
         let _l = crate::tests::test_lock();
         reset();
+        on_threads(1, || {
+            let _g = enter("t.reset.flushed", String::new());
+        });
+        assert!(
+            FLUSHED.load(Ordering::Relaxed),
+            "the worker flushed on exit"
+        );
         {
-            let _g = enter("t.reset.published", String::new());
-        }
-        let _ = drain(); // force a publish cycle so the slot exists
-        {
-            let _g = enter("t.reset.unpublished", String::new());
+            let _g = enter("t.reset.unflushed", String::new());
         }
         reset();
         assert!(drain().is_empty(), "reset discarded everything");

@@ -1,10 +1,9 @@
 //! Owned-payload wrappers over the `Copy`-only raw primitives.
 //!
-//! The raw ring, triple buffer, and write-once cell move `Copy` values
-//! through [`RawData`](wfc_registers::RawData) slots. Hot-path callers
-//! need owned payloads — response frames, span batches, arbitrary pool
-//! results — so this module moves `Box`es through `usize`-typed
-//! primitives instead: a pointer is `Copy`, and ownership transfers
+//! The raw ring and write-once cell move `Copy` values through
+//! [`RawData`](wfc_registers::RawData) slots. Hot-path callers need
+//! owned payloads — response frames, arbitrary pool results — so this
+//! module moves `Box`es through `usize`-typed primitives instead: a pointer is `Copy`, and ownership transfers
 //! with the value. All pointer `unsafe` in the crate outside the
 //! primitives themselves is confined here, with one invariant per type:
 //!
@@ -14,11 +13,6 @@
 //! * [`BoxRing`]: every pushed pointer is popped at most once (SPSC
 //!   FIFO delivers each slot value exactly once per lap); `Drop` drains
 //!   the stragglers under `&mut` exclusivity.
-//! * [`snapshot`]: the same three allocations live in the triple
-//!   buffer for its whole life — only their *roles* (front / middle /
-//!   back) rotate. The publisher mutates its exclusively-owned back
-//!   pointee in place; the shared [`SnapDrop`] frees all three
-//!   allocations when the last handle goes away.
 //!
 //! Everything here runs over [`RealProvider`] only: the model-checked
 //! twins in `wfc-sched` exercise the underlying index/state protocols,
@@ -26,13 +20,11 @@
 //! bookkeeping, not new interleavings.
 
 use std::marker::PhantomData;
-use std::sync::Arc;
 
 use wfc_registers::RealProvider;
 
 use crate::cell::WriteOnce;
 use crate::spsc::SpscRing;
-use crate::triple::{triple_buffer_each, TriplePublisher, TripleSubscriber};
 
 /// A write-once slot for an arbitrary `Send` payload: the boxed
 /// counterpart of [`WriteOnce`], used for pool result slots.
@@ -182,118 +174,6 @@ impl<T: Send> std::fmt::Debug for BoxRing<T> {
     }
 }
 
-/// Frees the triple buffer's three permanent allocations when the last
-/// snapshot handle drops.
-struct SnapDrop<T: Send> {
-    ptrs: [usize; 3],
-    _owns: PhantomData<T>,
-}
-
-// Safety: `SnapDrop` only carries ownership of three `T`s to whichever
-// thread drops the last handle.
-unsafe impl<T: Send> Send for SnapDrop<T> {}
-unsafe impl<T: Send> Sync for SnapDrop<T> {}
-
-impl<T: Send> Drop for SnapDrop<T> {
-    fn drop(&mut self) {
-        for &p in &self.ptrs {
-            // Safety: the three pointers were created by `Box::into_raw`
-            // in `snapshot` and never freed elsewhere; both handles are
-            // gone (this is the last `Arc` drop), so nothing aliases.
-            drop(unsafe { Box::from_raw(p as *mut T) });
-        }
-    }
-}
-
-/// The writing half of a boxed snapshot pair; see [`snapshot`].
-pub struct SnapshotPublisher<T: Send> {
-    inner: TriplePublisher<usize, RealProvider>,
-    _drop: Arc<SnapDrop<T>>,
-}
-
-/// The reading half of a boxed snapshot pair; see [`snapshot`].
-pub struct SnapshotSubscriber<T: Send> {
-    inner: TripleSubscriber<usize, RealProvider>,
-    _drop: Arc<SnapDrop<T>>,
-}
-
-/// Builds a wait-free snapshot channel for a non-`Copy` state `T`: the
-/// boxed counterpart of [`crate::triple_buffer`], used for span-batch
-/// publication. `make` is called three times to seed the three buffers
-/// (they must be distinct allocations, hence a factory rather than a
-/// `Clone` value).
-pub fn snapshot<T: Send>(
-    mut make: impl FnMut() -> T,
-) -> (SnapshotPublisher<T>, SnapshotSubscriber<T>) {
-    let ptrs = [
-        Box::into_raw(Box::new(make())) as usize,
-        Box::into_raw(Box::new(make())) as usize,
-        Box::into_raw(Box::new(make())) as usize,
-    ];
-    let (publisher, subscriber) = triple_buffer_each(ptrs);
-    let shared = Arc::new(SnapDrop {
-        ptrs,
-        _owns: PhantomData,
-    });
-    (
-        SnapshotPublisher {
-            inner: publisher,
-            _drop: Arc::clone(&shared),
-        },
-        SnapshotSubscriber {
-            inner: subscriber,
-            _drop: shared,
-        },
-    )
-}
-
-impl<T: Send> SnapshotPublisher<T> {
-    /// Mutates the exclusively-owned back buffer in place, then
-    /// publishes it as the new snapshot. Wait-free (one data write and
-    /// one swap beyond the caller's own mutation).
-    ///
-    /// The triple buffer is lossy, so `update` receives whichever of
-    /// the three buffers rotated back — **not** necessarily the state
-    /// it last published. Callers must rebuild the full state (or keep
-    /// it cumulative), not apply a delta.
-    pub fn publish_with(&mut self, update: impl FnOnce(&mut T)) {
-        let ptr = self.inner.back() as *mut T;
-        // Safety: the back pointee is exclusively the publisher's until
-        // the `publish` below (triple-buffer permutation invariant).
-        update(unsafe { &mut *ptr });
-        self.inner.publish(ptr as usize);
-    }
-}
-
-impl<T: Send> SnapshotSubscriber<T> {
-    /// Takes the latest snapshot if one was published since the last
-    /// refresh; returns whether it advanced. Wait-free.
-    pub fn refresh(&mut self) -> bool {
-        self.inner.refresh()
-    }
-
-    /// Borrows the current front snapshot. Stable until the next
-    /// [`refresh`](Self::refresh).
-    pub fn with<R>(&self, read: impl FnOnce(&T) -> R) -> R {
-        // Safety: the front pointee is exclusively the subscriber's
-        // between refreshes (permutation invariant), so the shared
-        // borrow cannot alias a publisher write.
-        read(unsafe { &*(self.inner.read() as *const T) })
-    }
-}
-
-impl<T: Send> std::fmt::Debug for SnapshotPublisher<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SnapshotPublisher").finish_non_exhaustive()
-    }
-}
-
-impl<T: Send> std::fmt::Debug for SnapshotSubscriber<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SnapshotSubscriber").finish_non_exhaustive()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -386,66 +266,5 @@ mod tests {
             });
         });
         assert_eq!(drops.load(Ordering::Relaxed), N, "every frame freed once");
-    }
-
-    #[test]
-    fn snapshot_publishes_latest_state() {
-        let (mut w, mut r) = snapshot(Vec::<u64>::new);
-        assert!(!r.refresh());
-        r.with(|v| assert!(v.is_empty()));
-        w.publish_with(|v| {
-            v.clear();
-            v.extend([1, 2, 3]);
-        });
-        assert!(r.refresh());
-        r.with(|v| assert_eq!(v, &[1, 2, 3]));
-        assert!(!r.refresh(), "freshness consumed");
-        r.with(|v| assert_eq!(v, &[1, 2, 3], "front stable without refresh"));
-    }
-
-    /// Satellite-3 hammer: cumulative publication (the span-flush
-    /// pattern) under a racing reader. Each snapshot the reader sees
-    /// must be a consistent prefix `0..len` and lengths must be
-    /// monotone; when the writer finishes, the final refresh shows the
-    /// complete sequence. No leaks: the three buffers are freed with
-    /// the handles.
-    #[test]
-    fn hammer_snapshot_cumulative_prefixes_are_consistent() {
-        const N: u64 = 20_000;
-        let (mut w, mut r) = snapshot(Vec::<u64>::new);
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                let mut rng = crate::tests::SplitMix64::new(7);
-                let mut all: Vec<u64> = Vec::new();
-                for i in 0..N {
-                    all.push(i);
-                    // Cumulative: rebuild the full state every publish,
-                    // because the back buffer is not the last published.
-                    w.publish_with(|v| {
-                        v.clear();
-                        v.extend_from_slice(&all);
-                    });
-                    if rng.next().is_multiple_of(256) {
-                        std::thread::yield_now();
-                    }
-                }
-            });
-            s.spawn(move || {
-                let mut last_len = 0;
-                while last_len < N as usize {
-                    if !r.refresh() {
-                        std::thread::yield_now();
-                    }
-                    let len = r.with(|v| {
-                        for (i, &x) in v.iter().enumerate() {
-                            assert_eq!(x, i as u64, "snapshot is not a prefix");
-                        }
-                        v.len()
-                    });
-                    assert!(len >= last_len, "snapshot length went backwards");
-                    last_len = len;
-                }
-            });
-        });
     }
 }

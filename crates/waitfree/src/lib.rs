@@ -1,14 +1,12 @@
 //! # `wfc-waitfree` — wait-free primitives for the engine's hot paths
 //!
 //! The paper this workspace reproduces is about achieving wait-free
-//! coordination with registers, yet for nine PRs the engine's own
-//! hottest shared structures were lock-based: the span collector was a
-//! global `Mutex<Vec<_>>`, the explorer pool parked results behind
-//! `Mutex<Option<R>>` slots, and service workers handed response bytes
-//! to the IO thread under a per-connection mutex. This crate eats the
-//! dogfood: three register-style wait-free primitives, in the spirit of
-//! the SRSW→MRSW construction ladder the `wfc-registers` crate builds
-//! for the paper itself.
+//! coordination with registers. This crate holds the engine itself to
+//! that standard at its two hottest rendezvous points: the explorer
+//! pool's result slots and the service's worker→IO response path run
+//! on register-style wait-free primitives rather than mutexes, in the
+//! spirit of the SRSW→MRSW construction ladder the `wfc-registers`
+//! crate builds for the paper itself. Three primitives:
 //!
 //! * [`spsc`] — a bounded single-producer/single-consumer ring. The
 //!   fast path is one acquire load and one release store per operation,
@@ -20,8 +18,10 @@
 //!   one of three buffers at all times and trade the third through one
 //!   atomic `swap` — never blocking, never tearing, at the cost of
 //!   lossiness (a reader sees the *latest* snapshot, not every one).
+//!   No hot path uses it; it stays as a model-checked fixture and in
+//!   bench E13.
 //! * [`cell`] — a write-once result cell: `set`/`take` through a small
-//!   state word, replacing mutexed `Option` slots.
+//!   state word, replacing mutexed `Option` slots (the pool's results).
 //!
 //! ## Written twice: the fixture-before-hot-path rule
 //!
@@ -41,8 +41,8 @@
 //!
 //! The raw primitives move `Copy` values through
 //! [`RawData`](wfc_registers::RawData) slots. Production callers that
-//! need owned payloads (response frames, span batches, arbitrary pool
-//! results) use the [`boxed`] wrappers, which move `Box`es through a
+//! need owned payloads (response frames, arbitrary pool results) use
+//! the [`boxed`] wrappers, which move `Box`es through a
 //! `usize`-typed primitive and confine the pointer `unsafe` to one
 //! audited module.
 
@@ -54,10 +54,10 @@ pub mod cell;
 pub mod spsc;
 pub mod triple;
 
-pub use boxed::{snapshot, BoxRing, ResultCell, SnapshotPublisher, SnapshotSubscriber};
+pub use boxed::{BoxRing, ResultCell};
 pub use cell::WriteOnce;
 pub use spsc::{ring, SpscConsumer, SpscProducer, SpscRing};
-pub use triple::{triple_buffer, triple_buffer_each, TriplePublisher, TripleSubscriber};
+pub use triple::{triple_buffer, TriplePublisher, TripleSubscriber};
 
 #[cfg(test)]
 pub(crate) mod tests {

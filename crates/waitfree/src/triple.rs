@@ -28,9 +28,9 @@
 //! swap, which the reader's acquire swap observes before it reads.
 //!
 //! The price of wait-freedom is *lossiness*: if the writer publishes
-//! twice between reads, the older snapshot is overwritten. Callers
-//! that need every record (not just the latest state) must publish
-//! cumulatively — see `wfc_obs::span` for the pattern.
+//! twice between reads, the older snapshot is overwritten. It suits
+//! state where only the latest value matters; a caller that needs every
+//! record needs a queue (the [`crate::spsc`] ring) instead.
 
 use std::sync::Arc;
 
@@ -59,28 +59,14 @@ pub struct TripleSubscriber<T: Copy + Send + 'static, P: CellProvider> {
 }
 
 /// Builds a triple buffer with all three buffers holding `init` and
-/// splits it into its publisher and subscriber handles.
+/// splits it into its publisher and subscriber handles. Buffer 0 starts
+/// as the reader's front, buffer 1 as the middle, buffer 2 as the
+/// writer's back.
 pub fn triple_buffer<T: Copy + Send + 'static, P: CellProvider>(
     init: T,
 ) -> (TriplePublisher<T, P>, TripleSubscriber<T, P>) {
-    triple_buffer_each([init, init, init])
-}
-
-/// [`triple_buffer`], but each buffer gets its own initial value —
-/// needed when the values must be *distinct*, as with the boxed
-/// pointer wrappers in [`crate::boxed`]. Buffer 0 starts as the
-/// reader's front, buffer 1 as the middle, buffer 2 as the writer's
-/// back.
-pub fn triple_buffer_each<T: Copy + Send + 'static, P: CellProvider>(
-    init: [T; 3],
-) -> (TriplePublisher<T, P>, TripleSubscriber<T, P>) {
-    let [front, middle, back] = init;
     let shared = Arc::new(TripleShared {
-        bufs: [
-            P::Data::new(front),
-            P::Data::new(middle),
-            P::Data::new(back),
-        ],
+        bufs: [P::Data::new(init), P::Data::new(init), P::Data::new(init)],
         state: P::AtomicUsize::new(1), // middle = buffer 1, not fresh
     });
     (
@@ -93,17 +79,6 @@ pub fn triple_buffer_each<T: Copy + Send + 'static, P: CellProvider>(
 }
 
 impl<T: Copy + Send + 'static, P: CellProvider> TriplePublisher<T, P> {
-    /// The value currently in the write buffer (the last thing this
-    /// publisher wrote there — or an initial value). The write buffer
-    /// is exclusively owned, so this is an ordinary read.
-    pub fn back(&self) -> T {
-        // Safety: only this publisher ever writes `bufs[self.back]`,
-        // and `&self` excludes a concurrent `publish`; the permutation
-        // invariant keeps the reader away from the back buffer, so no
-        // write can overlap this read.
-        unsafe { self.shared.bufs[self.back].read_maybe_torn().assume_init() }
-    }
-
     /// Publishes `value` as the new snapshot, replacing any unread
     /// predecessor. Wait-free: one data write and one atomic swap.
     pub fn publish(&mut self, value: T) {
